@@ -7,6 +7,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -231,39 +232,113 @@ struct ExecContext {
   const PhysicalTask& task(int id) const { return plan->tasks[id]; }
 };
 
+/// Wires partition `partition` of `task` to every consumer input it feeds:
+/// one OutputPort per consumer edge, in consumer_edges order. An edge is in
+/// the loop only when both ends are members of the same iteration's loop.
+void BuildOutputPorts(ExecContext* ctx, const PhysicalTask& task,
+                      int partition,
+                      std::vector<std::unique_ptr<OutputPort>>* owned,
+                      std::vector<OutputPort*>* ports) {
+  for (const auto& [consumer_id, port] : ctx->consumer_edges[task.id]) {
+    const PhysicalTask& consumer = ctx->task(consumer_id);
+    const PhysicalInput& edge = consumer.inputs[port];
+    std::vector<Exchange*> targets;
+    targets.reserve(ctx->parallelism);
+    for (int p = 0; p < ctx->parallelism; ++p) {
+      targets.push_back(ctx->channels[consumer_id][port][p].get());
+    }
+    const bool in_loop = IsLoopTask(task) && IsLoopTask(consumer) &&
+                         SameLoop(task, consumer);
+    owned->push_back(std::make_unique<OutputPort>(
+        std::move(targets), edge.ship, edge.ship_key, partition,
+        &ctx->metrics, in_loop, edge.combiner, edge.combine_key));
+    ports->push_back(owned->back().get());
+  }
+}
+
+/// One partition's share of a source task's records — indices partition,
+/// partition + P, ... of its data, or of the session's override for it —
+/// consumed front to back.
+class SourceSlice {
+ public:
+  SourceSlice(const ExecContext& ctx, const PhysicalTask& task, int partition)
+      : next_(static_cast<size_t>(partition)),
+        stride_(static_cast<size_t>(ctx.parallelism)) {
+    const auto it = ctx.source_override.find(task.id);
+    data_ = it != ctx.source_override.end() ? &it->second
+                                            : task.source_data.get();
+  }
+
+  bool done() const { return next_ >= data_->size(); }
+
+  const Record& Next() {
+    const Record& rec = (*data_)[next_];
+    next_ += stride_;
+    return rec;
+  }
+
+ private:
+  const std::vector<Record>* data_;
+  size_t next_;
+  size_t stride_;
+};
+
+/// The per-record step of the streaming operators (Map / Filter / Union).
+template <typename Out>
+void StreamRecord(const PhysicalTask& task, const Record& rec, Out* out) {
+  switch (task.kind) {
+    case OperatorKind::kMap:
+      task.map_udf(rec, out);
+      break;
+    case OperatorKind::kFilter:
+      if (task.filter_udf(rec)) out->Emit(rec);
+      break;
+    case OperatorKind::kUnion:
+      out->Emit(rec);
+      break;
+    default:
+      SFDF_CHECK(false) << "not a streaming operator: "
+                        << OperatorKindName(task.kind);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TaskInstance: one partition of one physical task
 // ---------------------------------------------------------------------------
 
-/// A loop task's resumable program (runtime v3). The executor schedules
-/// `body` once per superstep wave — it processes exactly one superstep,
-/// sends this instance's end-of-superstep markers and returns to the pool
-/// (run-to-superstep-boundary). All cross-superstep state — §4.3
-/// constant-path caches, hash tables, spill buffers — lives in the
+/// The program of one task instance (runtime v3): the operator's single
+/// kernel, whether the task is a loop member or not. For a loop task the
+/// executor schedules `body` once per superstep wave — it processes exactly
+/// one superstep, sends this instance's end-of-superstep markers and returns
+/// to the pool (run-to-superstep-boundary). All cross-superstep state —
+/// §4.3 constant-path caches, hash tables, spill buffers — lives in the
 /// program's closure, which is what makes warm session rounds warm.
 /// `final_flush` runs once after the iteration terminated, emitting the
-/// task's final result downstream and closing its output lanes.
+/// task's final result downstream and closing its output lanes. A one-shot
+/// task runs as a single phase: `body(0)`, then `final_flush()`.
 struct LoopProgram {
   std::function<void(int64_t)> body;
   std::function<void()> final_flush;
 };
 
-/// The non-blocking contract (engine.h): every `body` and every RunOnce is
-/// only enqueued after the producers of the phase it reads have finished —
-/// one-shot producers after their stream completed, in-loop producers after
-/// their superstep body ran earlier in the same wave (stage order). Every
+/// The non-blocking contract (engine.h): every `body` is only enqueued
+/// after the producers of the phase it reads have finished — one-shot
+/// producers after their stream completed, in-loop producers after their
+/// superstep body ran earlier in the same wave (stage order). Every
 /// ReadPhase therefore finds a fully delimited phase and never parks.
 class TaskInstance {
  public:
   TaskInstance(ExecContext* ctx, const PhysicalTask* task, int partition)
       : ctx_(ctx), task_(task), partition_(partition) {
-    BuildOutputs();
+    BuildOutputPorts(ctx_, *task_, partition_, &outputs_, &out_ptrs_);
   }
 
   /// Non-loop tasks: the whole life of the instance, one engine task.
+  /// Sources and sinks run their own drivers; every other kind runs its
+  /// program as one phase.
   void RunOnce();
 
-  /// Loop tasks: the resumable per-superstep program.
+  /// The task's program (see LoopProgram).
   LoopProgram MakeLoopProgram();
 
   int partition() const { return partition_; }
@@ -301,23 +376,6 @@ class TaskInstance {
 
  private:
   // --- wiring helpers -----------------------------------------------------
-  void BuildOutputs() {
-    for (const auto& [consumer_id, port] : ctx_->consumer_edges[task_->id]) {
-      const PhysicalTask& consumer = ctx_->task(consumer_id);
-      const PhysicalInput& edge = consumer.inputs[port];
-      std::vector<Exchange*> targets;
-      targets.reserve(ctx_->parallelism);
-      for (int p = 0; p < ctx_->parallelism; ++p) {
-        targets.push_back(ctx_->channels[consumer_id][port][p].get());
-      }
-      bool in_loop = IsLoopTask(consumer) && SameLoop(*task_, consumer);
-      outputs_.push_back(std::make_unique<OutputPort>(
-          std::move(targets), edge.ship, edge.ship_key, partition_,
-          &ctx_->metrics, in_loop, edge.combiner, edge.combine_key));
-      out_ptrs_.push_back(outputs_.back().get());
-    }
-  }
-
   Exchange* Input(int port) {
     return ctx_->channels[task_->id][port][partition_].get();
   }
@@ -384,18 +442,70 @@ class TaskInstance {
     ReadPort(port, [out](const Record& rec) { out->push_back(rec); });
   }
 
-  // --- one-shot drivers (non-loop tasks) ----------------------------------
+  // --- constant inputs (§4.3) ---------------------------------------------
+  /// True if input `port` is read once and replayed every superstep: a
+  /// constant input of a loop member. A one-shot task and an in-loop port
+  /// read their input exactly once per phase, so they never cache it.
+  bool ReplaysInput(int port) const {
+    return IsLoopTask(*task_) && !PortInLoop(port);
+  }
+
+  /// The loop-invariant cache of one replayed input. `spill`, when set,
+  /// holds it instead of `records` (a budgeted hash-join probe cache).
+  struct InputCache {
+    std::vector<Record> records;
+    std::unique_ptr<SpillBuffer> spill;
+  };
+
+  /// Feeds every record of input `port` for this phase to `fn`: straight
+  /// from the port, or — a replayed input — from `cache`, filled at
+  /// superstep 0. An in-memory cache is put in the order the plan requested
+  /// (Figure 4: A cached partitioned and sorted by tid), so downstream
+  /// consumers see pre-sorted data every superstep.
+  template <typename Fn>
+  void StreamInput(int port, int64_t superstep, InputCache* cache, Fn&& fn) {
+    if (!ReplaysInput(port)) {
+      ReadPort(port, fn);
+      return;
+    }
+    if (cache->spill != nullptr) {
+      if (superstep == 0) {
+        ReadPort(port, [&](const Record& rec) {
+          SFDF_CHECK(cache->spill->Add(rec).ok());
+        });
+        SFDF_CHECK(cache->spill->Seal().ok());
+      }
+      SFDF_CHECK(cache->spill->Replay(fn).ok());
+      return;
+    }
+    if (superstep == 0) {
+      CollectPort(port, &cache->records);
+      const KeySpec& sort_key = task_->inputs[port].cache_sort_key;
+      if (!sort_key.empty()) SortByKey(&cache->records, sort_key);
+    }
+    for (const Record& rec : cache->records) fn(rec);
+  }
+
+  /// The records of input `port` for this phase, for a kernel that sorts
+  /// them in place: read from the port, or — a replayed input — a copy of
+  /// `cache`, filled at superstep 0.
+  std::vector<Record> CollectInput(int port, int64_t superstep,
+                                   std::vector<Record>* cache) {
+    if (!ReplaysInput(port)) {
+      std::vector<Record> records;
+      CollectPort(port, &records);
+      return records;
+    }
+    if (superstep == 0) CollectPort(port, cache);
+    return *cache;
+  }
+
+  // --- drivers of the kinds without a kernel -------------------------------
   void RunSource();
   void RunSink();
-  void RunSimple();  // Map / Filter / Union
-  void RunReduce();
-  void RunMatchHash();
-  void RunMatchSortMerge();
-  void RunCross();
-  void RunCoGroup();
 
-  // --- loop program makers -------------------------------------------------
-  LoopProgram MakeSimpleLoop();  // Map / Filter / Union inside a loop
+  // --- program makers: one kernel per operator kind -------------------------
+  LoopProgram MakeSimpleLoop();  // Map / Filter / Union
   LoopProgram MakeReduceLoop();
   LoopProgram MakeMatchHashLoop();
   LoopProgram MakeMatchSortMergeLoop();
@@ -421,13 +531,8 @@ class TaskInstance {
 
 void TaskInstance::RunSource() {
   PortsCollector collector(out_ptrs_);
-  const auto override_it = ctx_->source_override.find(task_->id);
-  const std::vector<Record>& data = override_it != ctx_->source_override.end()
-                                        ? override_it->second
-                                        : *task_->source_data;
-  for (size_t i = partition_; i < data.size();
-       i += static_cast<size_t>(ctx_->parallelism)) {
-    collector.Emit(data[i]);
+  for (SourceSlice slice(*ctx_, *task_, partition_); !slice.done();) {
+    collector.Emit(slice.Next());
   }
   SendEndStream();
 }
@@ -437,32 +542,10 @@ void TaskInstance::RunSink() {
   CollectPort(0, &slot);
 }
 
-void TaskInstance::RunSimple() {
-  PortsCollector collector(out_ptrs_);
-  switch (task_->kind) {
-    case OperatorKind::kMap:
-      ReadPort(0, [&](const Record& rec) { task_->map_udf(rec, &collector); });
-      break;
-    case OperatorKind::kFilter:
-      ReadPort(0, [&](const Record& rec) {
-        if (task_->filter_udf(rec)) collector.Emit(rec);
-      });
-      break;
-    case OperatorKind::kUnion:
-      ReadPort(0, [&](const Record& rec) { collector.Emit(rec); });
-      ReadPort(1, [&](const Record& rec) { collector.Emit(rec); });
-      break;
-    default:
-      SFDF_CHECK(false) << "RunSimple on " << OperatorKindName(task_->kind);
-  }
-  SendEndStream();
-}
-
 LoopProgram TaskInstance::MakeSimpleLoop() {
   struct State {
     PortsCollector collector;
-    // Constant ports are read once and replayed every superstep (§4.3).
-    std::vector<std::vector<Record>> cache;
+    std::vector<InputCache> cache;
     explicit State(std::vector<OutputPort*> ports)
         : collector(std::move(ports)) {}
   };
@@ -470,30 +553,11 @@ LoopProgram TaskInstance::MakeSimpleLoop() {
   st->cache.resize(task_->inputs.size());
   LoopProgram prog;
   prog.body = [this, st](int64_t superstep) {
-    auto process_record = [&](const Record& rec) {
-      switch (task_->kind) {
-        case OperatorKind::kMap:
-          task_->map_udf(rec, &st->collector);
-          break;
-        case OperatorKind::kFilter:
-          if (task_->filter_udf(rec)) st->collector.Emit(rec);
-          break;
-        case OperatorKind::kUnion:
-          st->collector.Emit(rec);
-          break;
-        default:
-          SFDF_CHECK(false);
-      }
-    };
     for (size_t port = 0; port < task_->inputs.size(); ++port) {
-      if (PortInLoop(static_cast<int>(port))) {
-        ReadPort(static_cast<int>(port), process_record);
-      } else if (superstep == 0) {
-        CollectPort(static_cast<int>(port), &st->cache[port]);
-        for (const Record& rec : st->cache[port]) process_record(rec);
-      } else {
-        for (const Record& rec : st->cache[port]) process_record(rec);
-      }
+      StreamInput(static_cast<int>(port), superstep, &st->cache[port],
+                  [&](const Record& rec) {
+                    StreamRecord(*task_, rec, &st->collector);
+                  });
     }
     SendSuperstepMarkers();
   };
@@ -501,71 +565,28 @@ LoopProgram TaskInstance::MakeSimpleLoop() {
   return prog;
 }
 
-void TaskInstance::RunReduce() {
-  PortsCollector collector(out_ptrs_);
-  std::vector<Record> records;
-  CollectPort(0, &records);
-  // `input_presorted`: the optimizer proved the input arrives sorted on
-  // the grouping key (single forward producer emitting in key order).
-  if (!task_->input_presorted) SortByKey(&records, task_->key_left);
-  ForEachGroup(records, task_->key_left,
-               [&](const std::vector<Record>& group) {
-                 task_->reduce_udf(group, &collector);
-               });
-  SendEndStream();
-}
-
 LoopProgram TaskInstance::MakeReduceLoop() {
   struct State {
     PortsCollector collector;
-    std::vector<Record> cache;  // constant input (rare; recomputed per step)
+    std::vector<Record> cache;
     explicit State(std::vector<OutputPort*> ports)
         : collector(std::move(ports)) {}
   };
   auto st = std::make_shared<State>(out_ptrs_);
   LoopProgram prog;
   prog.body = [this, st](int64_t superstep) {
-    auto reduce_pass = [&](std::vector<Record>* records) {
-      if (!task_->input_presorted) SortByKey(records, task_->key_left);
-      ForEachGroup(*records, task_->key_left,
-                   [&](const std::vector<Record>& group) {
-                     task_->reduce_udf(group, &st->collector);
-                   });
-    };
-    if (PortInLoop(0)) {
-      std::vector<Record> records;
-      CollectPort(0, &records);
-      reduce_pass(&records);
-    } else {
-      if (superstep == 0) CollectPort(0, &st->cache);
-      std::vector<Record> copy = st->cache;
-      reduce_pass(&copy);
-    }
+    std::vector<Record> records = CollectInput(0, superstep, &st->cache);
+    // `input_presorted`: the optimizer proved the input arrives sorted on
+    // the grouping key (single forward producer emitting in key order).
+    if (!task_->input_presorted) SortByKey(&records, task_->key_left);
+    ForEachGroup(records, task_->key_left,
+                 [&](const std::vector<Record>& group) {
+                   task_->reduce_udf(group, &st->collector);
+                 });
     SendSuperstepMarkers();
   };
   prog.final_flush = [this] { SendEndStream(); };
   return prog;
-}
-
-void TaskInstance::RunMatchHash() {
-  PortsCollector collector(out_ptrs_);
-  const bool build_left = task_->local == LocalStrategy::kHashBuildLeft;
-  const int build_port = build_left ? 0 : 1;
-  const int probe_port = 1 - build_port;
-  const KeySpec& build_key = build_left ? task_->key_left : task_->key_right;
-  const KeySpec& probe_key = build_left ? task_->key_right : task_->key_left;
-  JoinHashTable table(build_key);
-  ReadPort(build_port, [&](const Record& rec) { table.Insert(rec); });
-  ReadPort(probe_port, [&](const Record& probe) {
-    table.Probe(probe, probe_key, [&](const Record& build) {
-      if (build_left) {
-        task_->match_udf(build, probe, &collector);
-      } else {
-        task_->match_udf(probe, build, &collector);
-      }
-    });
-  });
-  SendEndStream();
 }
 
 LoopProgram TaskInstance::MakeMatchHashLoop() {
@@ -574,112 +595,56 @@ LoopProgram TaskInstance::MakeMatchHashLoop() {
   const int probe_port = 1 - build_port;
   const KeySpec& build_key = build_left ? task_->key_left : task_->key_right;
   const KeySpec probe_key = build_left ? task_->key_right : task_->key_left;
-  const bool build_in_loop = PortInLoop(build_port);
-  const bool probe_in_loop = PortInLoop(probe_port);
-  const bool build_cached = task_->inputs[build_port].cached;
+  // A cached constant build side keeps its hash table across supersteps:
+  // the table *is* the loop-invariant cache (§4.3). With caching disabled
+  // (ablation) only the raw records are kept and the table is rebuilt
+  // every superstep.
+  const bool table_cached =
+      ReplaysInput(build_port) && task_->inputs[build_port].cached;
 
   struct State {
     PortsCollector collector;
     JoinHashTable table;
-    std::vector<Record> build_cache;  // raw records, no-cache ablation
-    std::vector<Record> probe_cache;
-    // Budgeted probe caches gradually spill to disk (§4.3). Spilled caches
-    // cannot be re-sorted in memory, so the sorted-cache optimization only
-    // combines with the unbounded cache.
-    std::unique_ptr<SpillBuffer> spill_cache;
+    InputCache build_cache;
+    InputCache probe_cache;
     State(std::vector<OutputPort*> ports, const KeySpec& key)
         : collector(std::move(ports)), table(key) {}
   };
   auto st = std::make_shared<State>(out_ptrs_, build_key);
-  if (!probe_in_loop && ctx_->cache_spill_budget != INT64_MAX &&
+  // Budgeted probe caches gradually spill to disk (§4.3). Spilled caches
+  // cannot be re-sorted in memory, so the sorted-cache optimization only
+  // combines with the unbounded cache.
+  if (ReplaysInput(probe_port) && ctx_->cache_spill_budget != INT64_MAX &&
       task_->inputs[probe_port].cache_sort_key.empty()) {
     SpillBufferOptions spill_options;
     spill_options.memory_budget_bytes = ctx_->cache_spill_budget;
-    st->spill_cache = std::make_unique<SpillBuffer>(spill_options);
+    st->probe_cache.spill = std::make_unique<SpillBuffer>(spill_options);
   }
 
   LoopProgram prog;
   prog.body = [this, st, build_left, build_port, probe_port, probe_key,
-               build_in_loop, probe_in_loop, build_cached](int64_t superstep) {
-    auto probe_one = [&](const Record& probe) {
-      st->table.Probe(probe, probe_key, [&](const Record& build) {
-        if (build_left) {
-          task_->match_udf(build, probe, &st->collector);
-        } else {
-          task_->match_udf(probe, build, &st->collector);
-        }
-      });
-    };
-    if (build_in_loop) {
+               table_cached](int64_t superstep) {
+    const auto insert = [&](const Record& rec) { st->table.Insert(rec); };
+    if (!table_cached) {
       st->table.Clear();
-      ReadPort(build_port, [&](const Record& rec) { st->table.Insert(rec); });
+      StreamInput(build_port, superstep, &st->build_cache, insert);
     } else if (superstep == 0) {
-      // Constant build side: the hash table *is* the loop-invariant
-      // cache (§4.3), built once and reused every superstep. With
-      // caching disabled (ablation) only the raw records are kept and
-      // the table is rebuilt each superstep.
-      ReadPort(build_port, [&](const Record& rec) {
-        if (build_cached) {
-          st->table.Insert(rec);
-        } else {
-          st->build_cache.push_back(rec);
-        }
-      });
-      if (!build_cached) {
-        for (const Record& rec : st->build_cache) st->table.Insert(rec);
-      }
-    } else if (!build_cached) {
-      st->table.Clear();
-      for (const Record& rec : st->build_cache) st->table.Insert(rec);
+      ReadPort(build_port, insert);
     }
-    if (probe_in_loop) {
-      ReadPort(probe_port, probe_one);
-    } else {
-      if (superstep == 0) {
-        if (st->spill_cache != nullptr) {
-          ReadPort(probe_port, [&](const Record& rec) {
-            SFDF_CHECK(st->spill_cache->Add(rec).ok());
-          });
-          SFDF_CHECK(st->spill_cache->Seal().ok());
-        } else {
-          CollectPort(probe_port, &st->probe_cache);
-          // Establish the requested cache order (Figure 4: A cached
-          // partitioned and sorted by tid) so downstream consumers see
-          // pre-sorted data every superstep.
-          const KeySpec& sort_key = task_->inputs[probe_port].cache_sort_key;
-          if (!sort_key.empty()) SortByKey(&st->probe_cache, sort_key);
-        }
-      }
-      if (st->spill_cache != nullptr) {
-        SFDF_CHECK(st->spill_cache->Replay(probe_one).ok());
-      } else {
-        for (const Record& rec : st->probe_cache) probe_one(rec);
-      }
-    }
+    StreamInput(probe_port, superstep, &st->probe_cache,
+                [&](const Record& probe) {
+                  st->table.Probe(probe, probe_key, [&](const Record& build) {
+                    if (build_left) {
+                      task_->match_udf(build, probe, &st->collector);
+                    } else {
+                      task_->match_udf(probe, build, &st->collector);
+                    }
+                  });
+                });
     SendSuperstepMarkers();
   };
   prog.final_flush = [this] { SendEndStream(); };
   return prog;
-}
-
-void TaskInstance::RunMatchSortMerge() {
-  PortsCollector collector(out_ptrs_);
-  std::vector<Record> left;
-  std::vector<Record> right;
-  CollectPort(0, &left);
-  CollectPort(1, &right);
-  SortByKey(&left, task_->key_left);
-  SortByKey(&right, task_->key_right);
-  MergeJoinGroups(left, task_->key_left, right, task_->key_right,
-                  [&](const std::vector<Record>& lgroup,
-                      const std::vector<Record>& rgroup) {
-                    for (const Record& l : lgroup) {
-                      for (const Record& r : rgroup) {
-                        task_->match_udf(l, r, &collector);
-                      }
-                    }
-                  });
-  SendEndStream();
 }
 
 LoopProgram TaskInstance::MakeMatchSortMergeLoop() {
@@ -692,18 +657,11 @@ LoopProgram TaskInstance::MakeMatchSortMergeLoop() {
   auto st = std::make_shared<State>(out_ptrs_);
   LoopProgram prog;
   prog.body = [this, st](int64_t superstep) {
-    std::vector<Record> sides[2];
-    for (int port = 0; port < 2; ++port) {
-      if (PortInLoop(port)) {
-        CollectPort(port, &sides[port]);
-      } else {
-        if (superstep == 0) CollectPort(port, &st->cache[port]);
-        sides[port] = st->cache[port];
-      }
-    }
-    SortByKey(&sides[0], task_->key_left);
-    SortByKey(&sides[1], task_->key_right);
-    MergeJoinGroups(sides[0], task_->key_left, sides[1], task_->key_right,
+    std::vector<Record> left = CollectInput(0, superstep, &st->cache[0]);
+    std::vector<Record> right = CollectInput(1, superstep, &st->cache[1]);
+    SortByKey(&left, task_->key_left);
+    SortByKey(&right, task_->key_right);
+    MergeJoinGroups(left, task_->key_left, right, task_->key_right,
                     [&](const std::vector<Record>& lgroup,
                         const std::vector<Record>& rgroup) {
                       for (const Record& l : lgroup) {
@@ -718,33 +676,14 @@ LoopProgram TaskInstance::MakeMatchSortMergeLoop() {
   return prog;
 }
 
-void TaskInstance::RunCross() {
-  PortsCollector collector(out_ptrs_);
-  const bool build_left = task_->local != LocalStrategy::kCrossBuildRight;
-  const int build_port = build_left ? 0 : 1;
-  const int probe_port = 1 - build_port;
-  std::vector<Record> build;
-  CollectPort(build_port, &build);
-  ReadPort(probe_port, [&](const Record& rec) {
-    for (const Record& b : build) {
-      if (build_left) {
-        task_->match_udf(b, rec, &collector);
-      } else {
-        task_->match_udf(rec, b, &collector);
-      }
-    }
-  });
-  SendEndStream();
-}
-
 LoopProgram TaskInstance::MakeCrossLoop() {
   const bool build_left = task_->local != LocalStrategy::kCrossBuildRight;
   const int build_port = build_left ? 0 : 1;
   const int probe_port = 1 - build_port;
   struct State {
     PortsCollector collector;
-    std::vector<Record> build;
-    std::vector<Record> probe_cache;
+    std::vector<Record> build;  // a constant build side is read once
+    InputCache probe_cache;
     explicit State(std::vector<OutputPort*> ports)
         : collector(std::move(ports)) {}
   };
@@ -752,49 +691,26 @@ LoopProgram TaskInstance::MakeCrossLoop() {
   LoopProgram prog;
   prog.body = [this, st, build_left, build_port,
                probe_port](int64_t superstep) {
-    auto stream_one = [&](const Record& rec) {
-      for (const Record& b : st->build) {
-        if (build_left) {
-          task_->match_udf(b, rec, &st->collector);
-        } else {
-          task_->match_udf(rec, b, &st->collector);
-        }
-      }
-    };
     if (PortInLoop(build_port)) {
       st->build.clear();
       CollectPort(build_port, &st->build);
     } else if (superstep == 0) {
       CollectPort(build_port, &st->build);
     }
-    if (PortInLoop(probe_port)) {
-      ReadPort(probe_port, stream_one);
-    } else {
-      if (superstep == 0) CollectPort(probe_port, &st->probe_cache);
-      for (const Record& rec : st->probe_cache) stream_one(rec);
-    }
+    StreamInput(probe_port, superstep, &st->probe_cache,
+                [&](const Record& rec) {
+                  for (const Record& b : st->build) {
+                    if (build_left) {
+                      task_->match_udf(b, rec, &st->collector);
+                    } else {
+                      task_->match_udf(rec, b, &st->collector);
+                    }
+                  }
+                });
     SendSuperstepMarkers();
   };
   prog.final_flush = [this] { SendEndStream(); };
   return prog;
-}
-
-void TaskInstance::RunCoGroup() {
-  PortsCollector collector(out_ptrs_);
-  const bool inner = task_->kind == OperatorKind::kInnerCoGroup;
-  std::vector<Record> left;
-  std::vector<Record> right;
-  CollectPort(0, &left);
-  CollectPort(1, &right);
-  SortByKey(&left, task_->key_left);
-  SortByKey(&right, task_->key_right);
-  MergeJoinGroups(left, task_->key_left, right, task_->key_right,
-                  [&](const std::vector<Record>& lgroup,
-                      const std::vector<Record>& rgroup) {
-                    if (inner && (lgroup.empty() || rgroup.empty())) return;
-                    task_->cogroup_udf(lgroup, rgroup, &collector);
-                  });
-  SendEndStream();
 }
 
 LoopProgram TaskInstance::MakeCoGroupLoop() {
@@ -808,18 +724,11 @@ LoopProgram TaskInstance::MakeCoGroupLoop() {
   auto st = std::make_shared<State>(out_ptrs_);
   LoopProgram prog;
   prog.body = [this, st, inner](int64_t superstep) {
-    std::vector<Record> sides[2];
-    for (int port = 0; port < 2; ++port) {
-      if (PortInLoop(port)) {
-        CollectPort(port, &sides[port]);
-      } else {
-        if (superstep == 0) CollectPort(port, &st->cache[port]);
-        sides[port] = st->cache[port];
-      }
-    }
-    SortByKey(&sides[0], task_->key_left);
-    SortByKey(&sides[1], task_->key_right);
-    MergeJoinGroups(sides[0], task_->key_left, sides[1], task_->key_right,
+    std::vector<Record> left = CollectInput(0, superstep, &st->cache[0]);
+    std::vector<Record> right = CollectInput(1, superstep, &st->cache[1]);
+    SortByKey(&left, task_->key_left);
+    SortByKey(&right, task_->key_right);
+    MergeJoinGroups(left, task_->key_left, right, task_->key_right,
                     [&](const std::vector<Record>& lgroup,
                         const std::vector<Record>& rgroup) {
                       if (inner && (lgroup.empty() || rgroup.empty())) return;
@@ -1153,31 +1062,13 @@ void TaskInstance::RunOnce() {
     case OperatorKind::kSink:
       RunSink();
       return;
-    case OperatorKind::kMap:
-    case OperatorKind::kFilter:
-    case OperatorKind::kUnion:
-      RunSimple();
-      return;
-    case OperatorKind::kReduce:
-      RunReduce();
-      return;
-    case OperatorKind::kMatch:
-      if (task_->local == LocalStrategy::kSortMerge) {
-        RunMatchSortMerge();
-      } else {
-        RunMatchHash();
-      }
-      return;
-    case OperatorKind::kCross:
-      RunCross();
-      return;
-    case OperatorKind::kCoGroup:
-    case OperatorKind::kInnerCoGroup:
-      RunCoGroup();
-      return;
-    default:
-      SFDF_CHECK(false) << "unexpected task kind "
-                        << OperatorKindName(task_->kind);
+    default: {
+      // No input replays and no output port is in a loop, so the single
+      // phase reads every input to END_STREAM and sends no superstep marker.
+      LoopProgram prog = MakeLoopProgram();
+      prog.body(0);
+      prog.final_flush();
+    }
   }
 }
 
@@ -1218,7 +1109,7 @@ LoopProgram TaskInstance::MakeLoopProgram() {
     case OperatorKind::kInnerCoGroup:
       return MakeCoGroupLoop();
     default:
-      SFDF_CHECK(false) << "unexpected loop task kind "
+      SFDF_CHECK(false) << "unexpected task kind "
                         << OperatorKindName(task_->kind);
       return {};
   }
@@ -1233,7 +1124,7 @@ LoopProgram TaskInstance::MakeLoopProgram() {
 /// applied by the same logical task that owns the partition's index — no
 /// locking on the index.
 struct ChainStep {
-  enum class Kind { kMap, kFilter, kSolutionJoin, kMatchConst };
+  enum class Kind { kStream, kSolutionJoin, kMatchConst };
   Kind kind;
   const PhysicalTask* task = nullptr;
   // kMatchConst: constant build side.
@@ -1318,10 +1209,8 @@ class MicrostepInstance {
       step.task = task;
       switch (task->kind) {
         case OperatorKind::kMap:
-          step.kind = ChainStep::Kind::kMap;
-          break;
         case OperatorKind::kFilter:
-          step.kind = ChainStep::Kind::kFilter;
+          step.kind = ChainStep::Kind::kStream;
           break;
         case OperatorKind::kMatch:
           if (task->role == TaskRole::kSolutionJoin) {
@@ -1450,11 +1339,8 @@ class MicrostepInstance {
     } next(this, step_index + 1);
 
     switch (step.kind) {
-      case ChainStep::Kind::kMap:
-        step.task->map_udf(rec, &next);
-        break;
-      case ChainStep::Kind::kFilter:
-        if (step.task->filter_udf(rec)) next.Emit(rec);
+      case ChainStep::Kind::kStream:
+        StreamRecord(*step.task, rec, &next);
         break;
       case ChainStep::Kind::kSolutionJoin: {
         SolutionSetIndex* index = rt_.index[partition_].get();
@@ -1499,19 +1385,7 @@ class MicrostepInstance {
     // task's output ports (its downstream consumers expect P producers).
     std::vector<std::unique_ptr<OutputPort>> outputs;
     std::vector<OutputPort*> ptrs;
-    for (const auto& [consumer_id, port] :
-         ctx_->consumer_edges[delta_apply_task_->id]) {
-      const PhysicalTask& consumer = ctx_->task(consumer_id);
-      const PhysicalInput& edge = consumer.inputs[port];
-      std::vector<Exchange*> targets;
-      for (int p = 0; p < ctx_->parallelism; ++p) {
-        targets.push_back(ctx_->channels[consumer_id][port][p].get());
-      }
-      outputs.push_back(std::make_unique<OutputPort>(
-          std::move(targets), edge.ship, edge.ship_key, partition_,
-          &ctx_->metrics, /*in_loop=*/false));
-      ptrs.push_back(outputs.back().get());
-    }
+    BuildOutputPorts(ctx_, *delta_apply_task_, partition_, &outputs, &ptrs);
     PortsCollector collector(ptrs);
     rt_.index[partition_]->ForEach(
         [&](const Record& rec) { collector.Emit(rec); });
@@ -1559,27 +1433,9 @@ class PipelinedInstance {
  public:
   PipelinedInstance(ExecContext* ctx, const PhysicalTask* task, int partition)
       : ctx_(ctx), task_(task), partition_(partition) {
-    for (const auto& [consumer_id, port] : ctx_->consumer_edges[task_->id]) {
-      const PhysicalTask& consumer = ctx_->task(consumer_id);
-      const PhysicalInput& edge = consumer.inputs[port];
-      std::vector<Exchange*> targets;
-      targets.reserve(ctx_->parallelism);
-      for (int p = 0; p < ctx_->parallelism; ++p) {
-        targets.push_back(ctx_->channels[consumer_id][port][p].get());
-      }
-      // A pipelined task is never a loop member, so none of its output
-      // ports carry loop data.
-      outputs_.push_back(std::make_unique<OutputPort>(
-          std::move(targets), edge.ship, edge.ship_key, partition_,
-          &ctx_->metrics, /*in_loop=*/false, edge.combiner, edge.combine_key));
-      out_ptrs_.push_back(outputs_.back().get());
-    }
+    BuildOutputPorts(ctx_, *task_, partition_, &outputs_, &out_ptrs_);
     if (task_->kind == OperatorKind::kSource) {
-      const auto it = ctx_->source_override.find(task_->id);
-      source_data_ = it != ctx_->source_override.end()
-                         ? &it->second
-                         : task_->source_data.get();
-      cursor_ = static_cast<size_t>(partition_);
+      source_.emplace(*ctx_, *task_, partition_);
     }
   }
 
@@ -1638,26 +1494,20 @@ class PipelinedInstance {
   /// are fully drained (the end-stream marker is a lane's last envelope),
   /// so exhausted means there is nothing left to pop anywhere.
   bool InputExhausted() {
-    if (task_->kind == OperatorKind::kSource) {
-      return cursor_ >= source_data_->size();
-    }
+    if (source_) return source_->done();
     for (size_t port = 0; port < task_->inputs.size(); ++port) {
       if (!Input(static_cast<int>(port))->AllClosed()) return false;
     }
     return true;
   }
 
-  /// Resumable source scan: same `partition + i*P` stride as RunSource, but
-  /// the cursor persists across polls so a backpressured source picks up
-  /// exactly where it stopped.
+  /// Resumable source scan: the slice persists across polls so a
+  /// backpressured source picks up exactly where it stopped.
   int64_t EmitSource() {
-    const std::vector<Record>& data = *source_data_;
-    const size_t stride = static_cast<size_t>(ctx_->parallelism);
     PortsCollector collector(out_ptrs_);
     int64_t emitted = 0;
-    while (cursor_ < data.size()) {
-      collector.Emit(data[cursor_]);
-      cursor_ += stride;
+    while (!source_->done()) {
+      collector.Emit(source_->Next());
       ++emitted;
       // Per-record check: one Emit can flush a full batch and stall, and
       // emitting past that would overrun the window into port buffers.
@@ -1671,49 +1521,27 @@ class PipelinedInstance {
   int64_t DrainInputs() {
     const auto stalled = [this] { return AnyOutputStalled(); };
     PortsCollector collector(out_ptrs_);
-    switch (task_->kind) {
-      case OperatorKind::kMap:
-        return Input(0)->DrainOpenUntil(
-            [&](const RecordBatch& batch) {
-              for (const Record& rec : batch) task_->map_udf(rec, &collector);
-            },
-            stalled);
-      case OperatorKind::kFilter:
-        return Input(0)->DrainOpenUntil(
-            [&](const RecordBatch& batch) {
-              for (const Record& rec : batch) {
-                if (task_->filter_udf(rec)) collector.Emit(rec);
-              }
-            },
-            stalled);
-      case OperatorKind::kUnion: {
-        int64_t popped = 0;
-        for (size_t port = 0; port < task_->inputs.size(); ++port) {
-          popped += Input(static_cast<int>(port))
-                        ->DrainOpenUntil(
-                            [&](const RecordBatch& batch) {
-                              for (const Record& rec : batch) {
-                                collector.Emit(rec);
-                              }
-                            },
-                            stalled);
-        }
-        return popped;
-      }
-      case OperatorKind::kSink: {
-        // Sinks have no outputs, so they never stall — the chain always
-        // drains from the bottom, which is what makes backpressure
-        // deadlock-free on an acyclic region graph.
-        std::vector<Record>& slot = ctx_->sink_slots[task_->id][partition_];
-        return Input(0)->DrainOpen([&](const RecordBatch& batch) {
-          for (const Record& rec : batch) slot.push_back(rec);
-        });
-      }
-      default:
-        SFDF_CHECK(false) << "pipelined step on "
-                          << OperatorKindName(task_->kind);
-        return 0;
+    if (task_->kind == OperatorKind::kSink) {
+      // Sinks have no outputs, so they never stall — the chain always
+      // drains from the bottom, which is what makes backpressure
+      // deadlock-free on an acyclic region graph.
+      std::vector<Record>& slot = ctx_->sink_slots[task_->id][partition_];
+      return Input(0)->DrainOpen([&](const RecordBatch& batch) {
+        for (const Record& rec : batch) slot.push_back(rec);
+      });
     }
+    int64_t popped = 0;
+    for (size_t port = 0; port < task_->inputs.size(); ++port) {
+      popped += Input(static_cast<int>(port))
+                    ->DrainOpenUntil(
+                        [&](const RecordBatch& batch) {
+                          for (const Record& rec : batch) {
+                            StreamRecord(*task_, rec, &collector);
+                          }
+                        },
+                        stalled);
+    }
+    return popped;
   }
 
   ExecContext* ctx_;
@@ -1721,8 +1549,7 @@ class PipelinedInstance {
   int partition_;
   std::vector<std::unique_ptr<OutputPort>> outputs_;
   std::vector<OutputPort*> out_ptrs_;
-  const std::vector<Record>* source_data_ = nullptr;
-  size_t cursor_ = 0;  ///< next source index for this partition (stride P)
+  std::optional<SourceSlice> source_;  ///< sources only
   bool end_sent_ = false;
 };
 
@@ -2238,7 +2065,7 @@ struct LoopUnit {
 /// run strictly producers-before-consumers:
 ///   kTask  — one non-loop physical task: P one-shot units, runnable once
 ///            every producer region completed (its input phases are then
-///            fully delivered, so the existing streaming drivers run
+///            fully delivered, so the task's program runs its one phase
 ///            without ever blocking).
 ///   kWave  — one superstep iteration: self-scheduling superstep waves
 ///            (see ScheduleWave); completes after its final flush.
@@ -3022,7 +2849,9 @@ class PlanSchedule {
     }
     std::lock_guard<std::mutex> lock(mutex_);
     --nodes_remaining_;
-    if (nodes_remaining_ == 0) cv_.notify_all();
+    // WaitQuiesced waits for nodes_remaining_ <= resident_pending_, which
+    // a resident session reaches above zero.
+    if (nodes_remaining_ <= resident_pending_) cv_.notify_all();
   }
 
   const PhysicalPlan* plan_;

@@ -451,12 +451,14 @@ void IterationService::AdmissionLoop() {
     if (!stopping_ &&
         pending_.size() < static_cast<size_t>(options_.max_batch)) {
       // Linger: give concurrent writers a chance to coalesce into this
-      // batch, bounded by the oldest pending mutation's wait.
+      // batch, bounded by the oldest pending mutation's wait. A
+      // reconfiguration request cuts it short and runs first.
       auto deadline = oldest_arrival_ + options_.max_linger;
       queue_cv_.wait_until(lock, deadline, [this] {
-        return stopping_ ||
+        return stopping_ || !reconfigs_.empty() ||
                pending_.size() >= static_cast<size_t>(options_.max_batch);
       });
+      if (!reconfigs_.empty()) continue;
     }
 
     const size_t take =

@@ -6,6 +6,7 @@
 // and the post-remap warm fixpoint equal to a cold recompute at the new
 // width to 1e-8. Runs under the CI TSan job via the service/ prefix.
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <thread>
@@ -203,6 +204,43 @@ TEST(ReconfigureTest, PreAdmittedBatchesReplayAfterTheRemap) {
   EXPECT_EQ(stats.reconfigs, 1u);
   EXPECT_EQ(stats.mutations_applied, 8u);
   EXPECT_TRUE(serving.Stop().ok());
+}
+
+TEST(ReconfigureTest, ReconfigureCutsTheAdmissionLingerShort) {
+  // A Reconfigure that lands while a batch lingers runs ahead of it: the
+  // call returns with the batch still pending instead of waiting out the
+  // linger window behind it.
+  ServingPageRankOptions options;
+  options.epsilon = 1e-12;
+  options.parallelism = 3;
+  options.max_batch = 64;
+  options.max_linger = std::chrono::seconds(5);
+  auto started = ServingPageRank::Start(Ring(12), options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  ServingPageRank& serving = **started;
+
+  std::vector<uint64_t> tickets;
+  for (int64_t v = 0; v < 4; ++v) {
+    tickets.push_back(
+        serving.Mutate({GraphMutation::EdgeInsert(v, (v + 5) % 12)}));
+    ASSERT_GT(tickets.back(), 0u);
+  }
+  // Let the admission thread pick the batch up and enter its linger. (Were
+  // it slower, it would see the request first and still remap first.)
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(serving.service()->Reconfigure(5).ok());
+  ServiceStats stats = serving.stats();
+  EXPECT_EQ(stats.reconfigs, 1u);
+  EXPECT_EQ(stats.rounds, 0u) << "the pending batch ran before the remap";
+  EXPECT_EQ(stats.mutations_applied, 0u);
+
+  // Stop ends the linger; the batch commits at the new width.
+  EXPECT_TRUE(serving.Stop().ok());
+  EXPECT_EQ(serving.service()->parallelism(), 5);
+  for (uint64_t ticket : tickets) {
+    EXPECT_TRUE(serving.Await(ticket).ok()) << "ticket " << ticket;
+  }
+  EXPECT_EQ(serving.stats().mutations_applied, 4u);
 }
 
 TEST(ReconfigureTest, StructuralRejectionLeavesTheServiceLive) {
